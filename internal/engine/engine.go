@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/learner"
-	"repro/internal/learner/incr"
 	"repro/internal/meta"
 	"repro/internal/predictor"
 	"repro/internal/preprocess"
@@ -78,18 +77,6 @@ type Config struct {
 	// counting, reviser scoring): 0 means GOMAXPROCS, 1 forces the serial
 	// pipeline. Results are identical at any setting.
 	Parallelism int
-	// NoEventSetReuse disables the incremental event-set cache that
-	// carries Apriori transactions across overlapping retraining windows.
-	// The cache is exact (see learner.EventSetCache); the switch exists
-	// for equivalence testing and measurement.
-	NoEventSetReuse bool
-	// Incremental maintains the learners' sufficient statistics across
-	// retrainings (internal/learner/incr): each pass delta-applies the
-	// window slide instead of re-mining the whole training set, with
-	// byte-identical results. Subsumes the event-set cache. The batch
-	// path remains the fallback for parameter changes, backwards windows
-	// and drift (see Retraining.Incr for what each pass actually did).
-	Incremental bool
 	// Metrics, when non-nil, records every (re)training pass — duration,
 	// per-learner time, reviser time, rule churn — into an obsv registry:
 	// the live version of Table 5. Nil disables recording.
@@ -99,9 +86,9 @@ type Config struct {
 // DefaultWindowSec is the paper's base prediction / rule-generation
 // window W_P (300 s, §5.2). It doubles as the alarm-spacing anchor:
 // warning deduplication stays at this base window even when a run
-// evaluates wider prediction windows (Figure 13), so the clamp in
-// newPredictor / stream.swapPredictor derives from this constant rather
-// than repeating the literal.
+// evaluates wider prediction windows (Figure 13), so the clamp in the
+// shared predictor builder (NewPredictor) derives from this constant
+// rather than repeating the literal.
 const DefaultWindowSec int64 = 300
 
 // Defaults returns the paper's default configuration: dynamic retraining
@@ -114,26 +101,6 @@ func Defaults() Config {
 		TrainWeeks:        26,
 		RetrainWeeks:      4,
 	}
-}
-
-func (c *Config) validate(totalWeeks int) error {
-	if c.Params.WindowSec <= 0 {
-		return fmt.Errorf("engine: WindowSec = %d, need > 0", c.Params.WindowSec)
-	}
-	if c.InitialTrainWeeks <= 0 {
-		return fmt.Errorf("engine: InitialTrainWeeks = %d, need > 0", c.InitialTrainWeeks)
-	}
-	if c.InitialTrainWeeks >= totalWeeks {
-		return fmt.Errorf("engine: initial training (%d weeks) consumes the whole %d-week log",
-			c.InitialTrainWeeks, totalWeeks)
-	}
-	if c.Policy == Sliding && c.TrainWeeks <= 0 {
-		return fmt.Errorf("engine: sliding policy needs TrainWeeks > 0")
-	}
-	if c.Policy != Static && c.RetrainWeeks <= 0 {
-		return fmt.Errorf("engine: dynamic policy needs RetrainWeeks > 0")
-	}
-	return nil
 }
 
 // Retraining records one (re)training pass.
@@ -150,7 +117,7 @@ type Retraining struct {
 	ReviseDuration   time.Duration
 	Total            time.Duration
 	// Incr describes the incremental sufficient-statistics advance behind
-	// this pass; nil when the pass ran without incremental maintenance.
+	// this pass; nil for a batch pass (TrainStep).
 	Incr *IncrInfo
 }
 
@@ -187,16 +154,16 @@ type Result struct {
 
 // TrainStep runs one (re)training pass — meta-learner over the training
 // slice, reviser, repository swap — and returns its record. It is the
-// single retraining step of Run, exported so long-running services
-// (internal/stream) can retrain outside an offline engine run. The
-// returned Retraining has Week zero; callers with a week timeline set it.
+// batch oracle of the loop's incremental pass (Loop.Train): both must
+// produce the same rules and churn over the same slice. The returned
+// Retraining has Week zero.
 func TrainStep(ml *meta.MetaLearner, repo *meta.Repository, slice []preprocess.TaggedEvent, params learner.Params) (Retraining, error) {
 	return TrainStepPrepared(ml, repo, learner.Prepare(slice), params)
 }
 
 // TrainStepPrepared is TrainStep over a caller-prepared training view —
-// the engine and the stream service install their incremental event-set
-// caches on the view before coming in here.
+// Loop.Train installs its maintained sufficient statistics on the view
+// before coming in here.
 func TrainStepPrepared(ml *meta.MetaLearner, repo *meta.Repository, pre *learner.Prepared, params learner.Params) (Retraining, error) {
 	slice := pre.Events
 	t0 := time.Now()
@@ -219,132 +186,58 @@ func TrainStepPrepared(ml *meta.MetaLearner, repo *meta.Repository, pre *learner
 // Run executes the framework over a preprocessed, time-sorted event
 // stream spanning [start, start + weeks). Training happens inside the
 // stream's own timeline: the first InitialTrainWeeks are training-only,
-// prediction and periodic retraining cover the rest.
+// prediction and periodic retraining cover the rest. Run is a replay of
+// the events through the dynamic loop (Loop.Step), followed by the week
+// boundaries after the last event that still fall inside the span.
 func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*Result, error) {
-	if err := cfg.validate(weeks); err != nil {
-		return nil, err
+	if cfg.InitialTrainWeeks >= weeks {
+		return nil, fmt.Errorf("engine: initial training (%d weeks) consumes the whole %d-week log",
+			cfg.InitialTrainWeeks, weeks)
 	}
-	ml := cfg.Meta
-	if ml == nil {
-		ml = meta.New()
-	}
-	if cfg.Parallelism != 0 {
-		ml.SetParallelism(cfg.Parallelism)
-	}
-	res := &Result{Config: cfg, Start: start, Weeks: weeks, TestFrom: cfg.InitialTrainWeeks}
-	repo := meta.NewRepository()
-	params := cfg.Params
-	// setCache carries Apriori transactions across the overlapping
-	// training windows of the retraining sequence: a sliding window drops
-	// a few expired weeks and appends a few new ones, so most event sets
-	// survive verbatim and only the boundary is rebuilt.
-	var setCache *learner.EventSetCache
-	if !cfg.NoEventSetReuse {
-		setCache = learner.NewEventSetCache()
-	}
-	// incrState additionally carries the learners' sufficient statistics
-	// across retrainings, turning each pass into a delta-apply.
-	var incrState *incr.State
-	if cfg.Incremental {
-		incrState = incr.New(meta.IncrConfig(ml, params))
-	}
-
 	weekMs := int64(raslog.MillisPerWeek)
-	at := func(week int) int64 { return start + int64(week)*weekMs }
-	// index finds the first event at or after t.
-	index := func(t int64) int {
+	lp, err := NewLoop(LoopConfig{
+		Policy:      cfg.Policy,
+		Initial:     int64(cfg.InitialTrainWeeks) * weekMs,
+		Window:      int64(cfg.TrainWeeks) * weekMs,
+		Every:       int64(cfg.RetrainWeeks) * weekMs,
+		Params:      cfg.Params,
+		Meta:        cfg.Meta,
+		Parallelism: cfg.Parallelism,
+		KindFilter:  cfg.KindFilter,
+		Tuner:       cfg.Tuner,
+		Metrics:     cfg.Metrics,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	lp.Begin(start)
+	res := &Result{Config: cfg, Start: start, Weeks: weeks, TestFrom: cfg.InitialTrainWeeks}
+	testStart, end := start+int64(cfg.InitialTrainWeeks)*weekMs, start+int64(weeks)*weekMs
+	index := func(t int64) int { // the first event at or after t
 		return sort.Search(len(events), func(i int) bool { return events[i].Time >= t })
 	}
+	history := func(from, to int64) []preprocess.TaggedEvent { return events[index(from):index(to)] }
 
-	train := func(effectiveWeek int) error {
-		var from int64
-		switch cfg.Policy {
-		case Whole:
-			from = start
-		case Sliding:
-			fromWeek := effectiveWeek - cfg.TrainWeeks
-			if fromWeek < 0 {
-				fromWeek = 0
-			}
-			from = at(fromWeek)
-		case Static:
-			from = start
-		}
-		to := at(effectiveWeek)
-		slice := events[index(from):index(to)]
-		t0 := time.Now()
-		if cfg.Tuner != nil {
-			wp, _, err := cfg.Tuner.Choose(slice, ml)
-			if err != nil {
-				return err
-			}
-			if wp > 0 {
-				params.WindowSec = wp
-			}
-		}
-		pre := learner.Prepare(slice)
-		var incrInfo *IncrInfo
-		if incrState != nil {
-			ta := time.Now()
-			d := incrState.Advance(events, from, to, params)
-			incrState.Install(pre)
-			incrInfo = &IncrInfo{Applied: d.Applied, Expired: d.Expired,
-				Rebuild: d.Rebuild, Reason: d.Reason, AdvanceDuration: time.Since(ta)}
-		} else if setCache != nil {
-			pre.SetsFor = func(windowMs int64, maxItems int) []learner.EventSet {
-				return setCache.Sets(events, from, to, windowMs, maxItems)
-			}
-		}
-		rt, err := TrainStepPrepared(ml, repo, pre, params)
+	t0 := time.Now()
+	for i := index(start); i < len(events) && events[i].Time < end; i++ {
+		warns, rts, err := lp.Step(events[i], history)
+		res.Retrainings = append(res.Retrainings, rts...)
 		if err != nil {
-			cfg.Metrics.RecordError()
-			return err
+			return nil, err
 		}
-		rt.Week = effectiveWeek
-		rt.Incr = incrInfo
-		rt.Total = time.Since(t0) // include the tuner's share
-		cfg.Metrics.Record(rt)
-		res.Retrainings = append(res.Retrainings, rt)
-		return nil
+		res.Warnings = append(res.Warnings, warns...)
+		if events[i].Fatal && events[i].Time >= testStart {
+			res.FatalTimes = append(res.FatalTimes, events[i].Time)
+		}
 	}
-
-	// Initial training.
-	if err := train(cfg.InitialTrainWeeks); err != nil {
+	res.MatchDuration = time.Since(t0) // less the passes that ran inline
+	for _, rt := range res.Retrainings {
+		res.MatchDuration -= rt.Total
+	}
+	rts, err := lp.Advance(end-1, history) // boundaries after the last event
+	res.Retrainings = append(res.Retrainings, rts...)
+	if err != nil {
 		return nil, err
-	}
-
-	// Prediction with periodic retraining.
-	pr := newPredictor(repo, cfg, params)
-	testStart := at(cfg.InitialTrainWeeks)
-	nextRetrain := cfg.InitialTrainWeeks + cfg.RetrainWeeks
-	if cfg.Policy == Static {
-		nextRetrain = weeks + 1 // never
-	}
-	i := index(testStart)
-	for week := cfg.InitialTrainWeeks; week < weeks; week++ {
-		if week == nextRetrain {
-			if err := train(week); err != nil {
-				return nil, err
-			}
-			lastFatal := pr.LastFatal()
-			lastWarn := pr.LastWarnTimes()
-			pr = newPredictor(repo, cfg, params)
-			pr.SeedLastFatal(lastFatal)
-			// Carry the dedup marks too: re-arming the distribution expert
-			// (SeedLastFatal) while forgetting it just fired would let it
-			// re-warn immediately after every swap.
-			pr.SeedLastWarn(lastWarn)
-			nextRetrain += cfg.RetrainWeeks
-		}
-		weekEnd := at(week + 1)
-		t0 := time.Now()
-		for ; i < len(events) && events[i].Time < weekEnd; i++ {
-			res.Warnings = append(res.Warnings, pr.Observe(events[i])...)
-			if events[i].Fatal {
-				res.FatalTimes = append(res.FatalTimes, events[i].Time)
-			}
-		}
-		res.MatchDuration += time.Since(t0)
 	}
 
 	res.Weekly = eval.Weekly(res.Warnings, res.FatalTimes, start, weeks)
@@ -352,34 +245,10 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	return res, nil
 }
 
-// newPredictor loads the repository's rules (optionally filtered to one
-// family) into a fresh predictor using the currently effective params.
-func newPredictor(repo *meta.Repository, cfg Config, params learner.Params) *predictor.Predictor {
-	rules := repo.Rules()
-	if cfg.KindFilter != nil {
-		filtered := rules[:0:0]
-		for _, r := range rules {
-			if r.Kind == *cfg.KindFilter {
-				filtered = append(filtered, r)
-			}
-		}
-		rules = filtered
-	}
-	pr := predictor.New(rules, params)
-	// The full ensemble counts overlapping alarms as one prediction;
-	// a single isolated family keeps its own window. Alarm spacing stays
-	// at the base window even when evaluating wider prediction windows
-	// (see predictor.DedupWindowSec).
-	pr.GlobalDedup = cfg.KindFilter == nil
-	ClampDedup(pr, params.WindowSec)
-	return pr
-}
-
 // ClampDedup pins a predictor's alarm spacing to the base rule-generation
 // window when the effective prediction window is wider: sweeping W_P must
-// admit more alarms, not ration them (Figure 13). Shared with the
-// streaming service's predictor swap so both deployment modes space
-// alarms identically.
+// admit more alarms, not ration them (Figure 13). NewPredictor applies
+// it to every predictor the loop builds.
 func ClampDedup(pr *predictor.Predictor, windowSec int64) {
 	if windowSec > DefaultWindowSec {
 		pr.DedupWindowSec = DefaultWindowSec

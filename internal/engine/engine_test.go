@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bgsim"
 	"repro/internal/learner"
-	"repro/internal/meta"
 	"repro/internal/obsv"
 	"repro/internal/preprocess"
 )
@@ -220,14 +219,12 @@ func TestRunDeterministic(t *testing.T) {
 // wider — sweeping W_P (Figure 13) must admit more alarms, never ration
 // them to one per W_P.
 func TestNewPredictorClampsAlarmSpacing(t *testing.T) {
-	repo := meta.NewRepository()
-	cfg := Defaults()
 	for _, tc := range []struct{ win, want int64 }{
 		{DefaultWindowSec, 0}, // base window: predictor default spacing
 		{900, DefaultWindowSec},
 		{7200, DefaultWindowSec},
 	} {
-		pr := newPredictor(repo, cfg, learner.Params{WindowSec: tc.win})
+		pr := NewPredictor(nil, learner.Params{WindowSec: tc.win}, nil, nil)
 		if pr.DedupWindowSec != tc.want {
 			t.Errorf("WindowSec %d: DedupWindowSec = %d, want %d",
 				tc.win, pr.DedupWindowSec, tc.want)

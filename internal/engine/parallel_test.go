@@ -5,40 +5,34 @@ import (
 	"testing"
 )
 
-// stripDurations clears the wall-clock fields of a retraining record so
-// equivalence checks compare only deterministic outputs.
+// stripDurations clears the wall-clock fields and the incremental
+// bookkeeping of a retraining record so equivalence checks compare only
+// the learned outcome.
 func stripDurations(rts []Retraining) []Retraining {
 	out := append([]Retraining(nil), rts...)
 	for i := range out {
 		out[i].LearnerDurations = nil
 		out[i].ReviseDuration = 0
 		out[i].Total = 0
+		out[i].Incr = nil
 	}
 	return out
 }
 
 // TestRunParallelAndCacheMatchSerial pins the engine tentpole: the
-// default configuration (parallel training, incremental event-set reuse
-// across retrainings) reproduces the fully serial, cache-free run byte
-// for byte — warnings, fatals, weekly curves, overall outcome, and every
-// retraining record.
+// default configuration (parallel training, incremental statistics
+// carried across retrainings) reproduces the fully serial batch oracle
+// byte for byte — warnings, fatals, weekly curves, overall outcome, and
+// every retraining record.
 func TestRunParallelAndCacheMatchSerial(t *testing.T) {
 	for _, seed := range []uint64{101, 707} {
 		events, start := pipeline(t, seed, 20)
 		for _, policy := range []Policy{Sliding, Whole} {
-			base := quickConfig()
-			base.Policy = policy
+			cfg := quickConfig()
+			cfg.Policy = policy
+			want, _ := batchOracle(t, events, start, 20, cfg)
 
-			serial := base
-			serial.Parallelism = 1
-			serial.NoEventSetReuse = true
-			want, err := Run(events, start, 20, serial)
-			if err != nil {
-				t.Fatalf("seed %d %v: serial: %v", seed, policy, err)
-			}
-
-			fast := base // Parallelism 0 (= GOMAXPROCS), cache on
-			got, err := Run(events, start, 20, fast)
+			got, err := Run(events, start, 20, cfg) // Parallelism 0 = GOMAXPROCS
 			if err != nil {
 				t.Fatalf("seed %d %v: parallel: %v", seed, policy, err)
 			}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/learner"
 	"repro/internal/meta"
-	"repro/internal/predictor"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
@@ -102,12 +101,7 @@ func (wt *WindowTuner) Choose(events []preprocess.TaggedEvent, ml *meta.MetaLear
 		if err != nil {
 			return 0, scores, err
 		}
-		pr := predictor.New(report.Kept, params)
-		pr.GlobalDedup = true
-		if wp > 300 {
-			pr.DedupWindowSec = 300
-		}
-		warnings := pr.ObserveAll(validation)
+		warnings := NewPredictor(report.Kept, params, nil, nil).ObserveAll(validation)
 		outcome := eval.Match(warnings, fatalTimes)
 		score := WindowScore{
 			WindowSec: wp,

@@ -33,14 +33,12 @@ type Prepared struct {
 	// Events is the raw training stream; read-only.
 	Events []preprocess.TaggedEvent
 
-	// SetsFor, when non-nil, overrides the batch event-set builder — the
-	// engine installs an incremental cross-retraining cache here. It must
-	// return exactly what BuildEventSets(Events, p, maxItems) would.
-	SetsFor func(windowMs int64, maxItems int) []EventSet
-	// GapsFor and TimesFor, when non-nil, override the batch fatal-gap /
-	// fatal-time extraction the same way: an incremental maintainer
-	// (internal/learner/incr) serves its window deques here. They must
-	// return exactly what FatalGaps(Events) / FatalTimes(Events) would.
+	// SetsFor, GapsFor and TimesFor, when non-nil, override the batch
+	// event-set builder and fatal-gap / fatal-time extraction: the
+	// incremental maintainer (internal/learner/incr) serves its window
+	// here. They must return exactly what BuildEventSets(Events, p,
+	// maxItems) / FatalGaps(Events) / FatalTimes(Events) would.
+	SetsFor  func(windowMs int64, maxItems int) []EventSet
 	GapsFor  func() []float64
 	TimesFor func() []int64
 
@@ -137,20 +135,17 @@ func (tr *Prepared) FatalGaps() []float64 {
 // Results are exactly BuildEventSets(events[from:to]) by construction:
 // a retained set's lookback lies fully inside both the old and the new
 // window, so the serial builder would produce the identical set.
+// It holds one (window, maxItems) configuration and is not safe for
+// concurrent use; its one user, internal/learner/incr, serializes it.
 type EventSetCache struct {
-	mu      sync.Mutex
-	entries map[setsKey]cacheEntry
-}
-
-type cacheEntry struct {
+	key      setsKey
 	from, to int64 // the [from, to) time range the sets were built for
 	sets     []EventSet
+	valid    bool
 }
 
 // NewEventSetCache returns an empty cache.
-func NewEventSetCache() *EventSetCache {
-	return &EventSetCache{entries: make(map[setsKey]cacheEntry, 2)}
-}
+func NewEventSetCache() *EventSetCache { return &EventSetCache{} }
 
 // SetsDelta describes how one window advance changed the cached event
 // sets: Removed left the window (expired, or a boundary set whose
@@ -165,24 +160,17 @@ type SetsDelta struct {
 	Rebuild bool
 }
 
-// Sets returns the event sets of the stream slice covering [from, to) —
-// equal to BuildEventSets over that slice — reusing the previous call's
-// sets where the window overlap allows. events must be the same
-// time-sorted stream across calls, and from must not move backwards
-// between calls (a full rebuild happens otherwise). The returned slice
-// is reused in place by the next call: it is valid until then only.
-func (c *EventSetCache) Sets(events []preprocess.TaggedEvent, from, to, windowMs int64, maxItems int) []EventSet {
-	sets, _ := c.Advance(events, from, to, windowMs, maxItems)
-	return sets
-}
-
-// Advance is Sets plus the exact delta against the previous window. A
+// Advance returns the event sets of the stream slice covering [from, to)
+// — equal to BuildEventSets over that slice — plus the exact delta
+// against the previous window. events must be the same time-sorted
+// stream across calls; a window start moving backwards rebuilds. A
 // window sliding forward evicts only the expired prefix and rebuilds only
 // the boundary region (fatals within windowMs of the new start, whose
 // lookback truncation may have changed their items) — sets in the
 // untouched middle are reused verbatim and never appear in the delta, so
 // a slide-by-one advance reports a delta of a handful of sets, not a
-// whole-window invalidation.
+// whole-window invalidation. The returned slice is reused in place by
+// the next call: it is valid until then only.
 func (c *EventSetCache) Advance(events []preprocess.TaggedEvent, from, to, windowMs int64, maxItems int) ([]EventSet, SetsDelta) {
 	idx := func(t int64) int {
 		return sort.Search(len(events), func(i int) bool { return events[i].Time >= t })
@@ -190,12 +178,9 @@ func (c *EventSetCache) Advance(events []preprocess.TaggedEvent, from, to, windo
 	key := setsKey{windowMs: windowMs, maxItems: maxItems}
 	lo, hi := idx(from), idx(to)
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.entries[key]
-	if !ok || from < ent.from || to < ent.to {
+	if !c.valid || key != c.key || from < c.from || to < c.to {
 		sets := buildEventSetsRange(events, lo, lo, hi, windowMs, maxItems)
-		c.entries[key] = cacheEntry{from: from, to: to, sets: sets}
+		*c = EventSetCache{key: key, from: from, to: to, sets: sets, valid: true}
 		return sets, SetsDelta{Added: sets, Rebuild: true}
 	}
 
@@ -206,8 +191,8 @@ func (c *EventSetCache) Advance(events []preprocess.TaggedEvent, from, to, windo
 	// returned slice is therefore only valid until the next Advance —
 	// callers needing the previous window across calls must copy it.
 	var delta SetsDelta
-	live := ent.sets
-	if from != ent.from {
+	live := c.sets
+	if from != c.from {
 		// Expired prefix: eviction is a binary search and a slice cut.
 		cut := sort.Search(len(live), func(i int) bool { return live[i].Time >= from })
 		delta.Removed = append(delta.Removed, live[:cut]...)
@@ -233,8 +218,8 @@ func (c *EventSetCache) Advance(events []preprocess.TaggedEvent, from, to, windo
 			live = append(merged, live[h:]...)
 		}
 	}
-	tailStart := ent.to
-	if ts := from + windowMs; tailStart < ts && from != ent.from {
+	tailStart := c.to
+	if ts := from + windowMs; tailStart < ts && from != c.from {
 		// The head rebuild above already covered [from, from+windowMs).
 		tailStart = ts
 	}
@@ -246,7 +231,7 @@ func (c *EventSetCache) Advance(events []preprocess.TaggedEvent, from, to, windo
 		live = append(live, tail...)
 		delta.Added = append(delta.Added, tail...)
 	}
-	c.entries[key] = cacheEntry{from: from, to: to, sets: live}
+	c.from, c.to, c.sets = from, to, live
 	return live, delta
 }
 
@@ -291,8 +276,6 @@ func equalItems(a, b []int) bool {
 // a delta, not a rebuild. The sets must be exactly BuildEventSets output
 // for [from, to) under (windowMs, maxItems).
 func (c *EventSetCache) Seed(windowMs int64, maxItems int, from, to int64, sets []EventSet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries[setsKey{windowMs: windowMs, maxItems: maxItems}] =
-		cacheEntry{from: from, to: to, sets: sets}
+	*c = EventSetCache{key: setsKey{windowMs: windowMs, maxItems: maxItems},
+		from: from, to: to, sets: sets, valid: true}
 }

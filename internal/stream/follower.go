@@ -327,17 +327,11 @@ func (s *Service) applyReplicated(events []raslog.Event) error {
 	if err := ticket.Wait(context.Background()); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	before := len(s.retrains)
-	s.mu.Unlock()
 	for i := range events {
 		s.replayOne(events[i])
 	}
 	atomic.StoreUint64(&s.replNext, s.next)
-	s.mu.Lock()
-	after := len(s.retrains)
-	s.mu.Unlock()
-	if after != before {
+	if s.snapPending.CompareAndSwap(true, false) {
 		s.writeSnapshot()
 	}
 	return nil
@@ -365,7 +359,7 @@ func (s *Service) promoteStandalone() bool {
 	s.standby.Store(false)
 	s.replaying = false
 	s.seqStart = s.next
-	if s.streamStartMs() >= 0 {
+	if s.loop.Start() >= 0 {
 		s.seqTimeSeed = s.watermarkMs()
 	}
 	// The shards seed their temporal state from the post-replication

@@ -5,12 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/meta"
+	"repro/internal/persist"
+	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
 
 // incrEquivConfig is a deterministic multi-retrain configuration: sync
-// retraining pins the predictor swap positions, so the incremental and
-// batch services must agree warning for warning.
+// retraining pins the pass boundaries, so the batch oracle can replay
+// every pass over the same slice.
 func incrEquivConfig() Config {
 	cfg := Defaults()
 	cfg.InitialTrain = 3 * week
@@ -35,62 +39,57 @@ func retrainRecords(t *testing.T, s *Service) []RetrainRecord {
 }
 
 // TestStreamIncrementalEquivalence pins the service-level contract: the
-// default (incremental) service and a NoIncremental one fed the same
-// stream end with identical rules, warnings, and retrain outcomes — and
-// only the incremental one reports delta-applies after its first pass.
+// service's incremental passes learn exactly what the batch oracle
+// (engine.TrainStep over the same training slice) learns — the same
+// training sets, rule churn and repository at every pass, and the same
+// final rules — with the first pass a full rebuild and every later one a
+// delta-apply.
 func TestStreamIncrementalEquivalence(t *testing.T) {
 	l := genLog(t, 17, 10)
-	run := func(noIncr bool) *Service {
-		t.Helper()
-		cfg := incrEquivConfig()
-		cfg.NoIncremental = noIncr
-		s, err := New(cfg)
+	cfg := incrEquivConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, s, l)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events := batchPreprocess(l, cfg.Filter)
+	start := s.Stats().StreamStart
+
+	ml, repo := meta.New(), meta.NewRepository()
+	recs := retrainRecords(t, s)
+	if len(recs) < 3 {
+		t.Fatalf("%d retrains, want >= 3", len(recs))
+	}
+	for i, r := range recs {
+		from := max(start, r.At-cfg.TrainWindow.Milliseconds())
+		var slice []preprocess.TaggedEvent
+		for _, te := range events {
+			if te.Time >= from && te.Time < r.At {
+				slice = append(slice, te)
+			}
+		}
+		want, err := engine.TrainStep(ml, repo, slice, cfg.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ingestAll(t, s, l)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+		if r.TrainEvents != want.TrainEvents || r.Churn != want.Churn || r.RepoSize != want.RepoSize {
+			t.Errorf("retrain %d diverges from batch: %+v vs %+v", i, r.Retraining, want)
 		}
-		return s
-	}
-	inc, batch := run(false), run(true)
-
-	if !reflect.DeepEqual(inc.Rules(), batch.Rules()) {
-		t.Errorf("rule sets diverge: %d incremental vs %d batch",
-			len(inc.Rules()), len(batch.Rules()))
-	}
-	iw, bw := inc.Warnings(0), batch.Warnings(0)
-	if len(iw) != len(bw) {
-		t.Fatalf("warning counts diverge: %d incremental vs %d batch", len(iw), len(bw))
-	}
-	for i := range iw {
-		if iw[i] != bw[i] {
-			t.Fatalf("warning %d diverges: %+v vs %+v", i, iw[i], bw[i])
+		if r.Incr == nil {
+			t.Fatalf("retrain %d missing IncrInfo", i)
 		}
-	}
-
-	ir, br := retrainRecords(t, inc), retrainRecords(t, batch)
-	if len(ir) != len(br) || len(ir) < 3 {
-		t.Fatalf("retrain counts: %d incremental vs %d batch (want equal, >= 3)", len(ir), len(br))
-	}
-	for i := range ir {
-		if ir[i].At != br[i].At || ir[i].TrainEvents != br[i].TrainEvents ||
-			ir[i].Churn != br[i].Churn {
-			t.Errorf("retrain %d diverges: %+v vs %+v", i, ir[i], br[i])
-		}
-		if br[i].Incr != nil {
-			t.Errorf("retrain %d: batch service carries IncrInfo", i)
-		}
-		if ir[i].Incr == nil {
-			t.Fatalf("retrain %d: incremental service missing IncrInfo", i)
-		}
-		if i == 0 && !ir[i].Incr.Rebuild {
+		if i == 0 && !r.Incr.Rebuild {
 			t.Error("first retrain must be a full rebuild")
 		}
-		if i > 0 && ir[i].Incr.Rebuild {
-			t.Errorf("retrain %d fell back to a rebuild: %s", i, ir[i].Incr.Reason)
+		if i > 0 && r.Incr.Rebuild {
+			t.Errorf("retrain %d fell back to a rebuild: %s", i, r.Incr.Reason)
 		}
+	}
+	if !reflect.DeepEqual(s.Rules(), repo.Rules()) {
+		t.Errorf("rule sets diverge: %d incremental vs %d batch", len(s.Rules()), len(repo.Rules()))
 	}
 }
 
@@ -151,14 +150,13 @@ func TestRecoveryRestoresIncrementalState(t *testing.T) {
 	}
 }
 
-// TestRecoveryWithoutIncrState pins the fallback: a NoIncremental writer
-// leaves no incremental state in its snapshots, and a default (incremental)
-// reader recovering from them simply cold-rebuilds on its next retrain —
-// recovery never depends on the field being present.
+// TestRecoveryWithoutIncrState pins the fallback: a snapshot with no
+// incremental state (as written before the statistics were persisted)
+// recovers fine, and the recovered service simply cold-rebuilds on its
+// next retrain — recovery never depends on the field being present.
 func TestRecoveryWithoutIncrState(t *testing.T) {
 	l := genLog(t, 13, 8)
 	cfg := durableConfig(t.TempDir())
-	cfg.NoIncremental = true
 
 	s1, err := New(cfg)
 	if err != nil {
@@ -166,32 +164,46 @@ func TestRecoveryWithoutIncrState(t *testing.T) {
 	}
 	split := l.Start() + 4*week.Milliseconds()
 	ingestAll(t, s1, &raslog.Log{Name: l.Name, Events: l.Window(l.Start(), split)})
+	waitFor(t, 30*time.Second, func() bool {
+		return len(s1.Stats().Retrains) >= 1 && s1.m.snapshots.Value() >= 1
+	})
 	s1.crash()
 
-	cfg.NoIncremental = false
+	// Rewrite the newest snapshot without its incremental state.
+	store, err := persist.Open(cfg.StateDir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.LoadSnapshot()
+	if err != nil || snap == nil || len(snap.Incr) == 0 {
+		t.Fatalf("no snapshot with incremental state to strip (err %v)", err)
+	}
+	snap.Incr = nil
+	if _, err := store.WriteSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Recovery().IncrRestored {
-		t.Error("restored incremental state from a batch-only snapshot")
+		t.Error("restored incremental state from a snapshot without it")
 	}
 	ingestAll(t, s2, &raslog.Log{Name: l.Name, Events: l.Window(split, l.End()+1)})
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs := retrainRecords(t, s2)
-	var own []RetrainRecord
-	for _, r := range recs {
-		if r.Incr != nil {
-			own = append(own, r)
-		}
-	}
+	own := recs[1:] // record 0 predates the kill
 	if len(own) == 0 {
-		t.Fatal("recovered service never retrained incrementally")
+		t.Fatal("recovered service never retrained")
 	}
 	if !own[0].Incr.Rebuild {
-		t.Error("first incremental retrain without restored state must cold-rebuild")
+		t.Error("first retrain without restored state must cold-rebuild")
 	}
 	for _, r := range own[1:] {
 		if r.Incr.Rebuild {

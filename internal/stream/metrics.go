@@ -39,14 +39,11 @@ type metrics struct {
 	recoverySeconds *obsv.Gauge
 	snapshotLatency *obsv.Histogram
 
-	// Gauges. Stream-time values are milliseconds; streamStart is -1
-	// until the first event, nextRetrain is -1 when no training is due
-	// ever again (static policy after its one pass).
+	// Gauges. Stream-time values are milliseconds. The rule count and
+	// the schedule (stream_start_ms, stream_next_retrain_ms) are read
+	// from the dynamic loop at scrape time.
 	reorderDepth *obsv.Gauge
-	rules        *obsv.Gauge
-	streamStart  *obsv.Gauge
 	watermark    *obsv.Gauge
-	nextRetrain  *obsv.Gauge
 
 	// Replication + backfill instruments (DESIGN.md §14). The lag gauges
 	// stay zero on a leader; the counters stay zero unless the feature ran.
@@ -99,14 +96,8 @@ func newMetrics(s *Service) *metrics {
 			"Ingest calls rejected after waiting AdmitWait on a saturated pipeline (HTTP 429s)."),
 		reorderDepth: reg.Gauge("stream_reorder_depth",
 			"Events currently held in the sequencer's reorder buffer."),
-		rules: reg.Gauge("stream_rules",
-			"Rules in the live predictor."),
-		streamStart: reg.Gauge("stream_start_ms",
-			"Stream-time (ms) of the first event; -1 before any event."),
 		watermark: reg.Gauge("stream_watermark_ms",
 			"Stream-time (ms) of the newest collected event."),
-		nextRetrain: reg.Gauge("stream_next_retrain_ms",
-			"Stream-time (ms) of the next scheduled training; -1 when none is due ever again."),
 		seqLatency: reg.Histogram("stream_stage_latency_seconds",
 			"Per-event wall time spent in each pipeline stage.", stageBuckets,
 			obsv.Label{Key: "stage", Value: "sequencer"}),
@@ -149,6 +140,13 @@ func newMetrics(s *Service) *metrics {
 	m.backfillSkipped = reg.Counter("backfill_skipped_total",
 		"Backfill lines skipped because they failed to parse.")
 
+	reg.GaugeFunc("stream_rules", "Rules in the live predictor.",
+		func() float64 { return float64(len(s.Rules())) })
+	reg.GaugeFunc("stream_start_ms", "Stream-time (ms) of the first event; -1 before any event.",
+		func() float64 { return float64(s.loop.Start()) })
+	reg.GaugeFunc("stream_next_retrain_ms",
+		"Stream-time (ms) of the next scheduled training; -1 when none is due ever again.",
+		func() float64 { return float64(s.loop.Next()) })
 	reg.GaugeFunc("stream_retraining",
 		"1 while a background training pass is in flight.", func() float64 {
 			if s.retraining.Load() {
@@ -175,7 +173,6 @@ func newMetrics(s *Service) *metrics {
 			obsv.Label{Key: "queue", Value: fmt.Sprintf("shard%d", i)})
 	}
 
-	m.streamStart.Set(-1)
 	m.training = engine.NewTrainingMetrics(reg)
 	return m
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/persist"
 	"repro/internal/predictor"
 	"repro/internal/preprocess"
@@ -87,7 +86,7 @@ func (s *Service) recover() error {
 		return err
 	}
 	s.seqStart = end
-	if s.streamStartMs() >= 0 {
+	if s.loop.Start() >= 0 {
 		// The sequencer's ordering floor continues at the recovered
 		// watermark: everything at or before it was already emitted (the
 		// emit path enforces a nondecreasing timeline, so watermark ==
@@ -105,7 +104,9 @@ func (s *Service) recover() error {
 		s.tempSeed = s.tempMirror.Export()
 		// Re-anchor durability at the recovered position so the next crash
 		// does not replay this tail again. Not done mid-replay: the WAL
-		// files being iterated must not be pruned under the iterator.
+		// files being iterated must not be pruned under the iterator. It
+		// also covers every pass the replay ran, so none is left pending.
+		s.snapPending.Store(false)
 		s.writeSnapshot()
 	}
 	s.recovery.DurationMs = time.Since(t0).Milliseconds()
@@ -119,23 +120,10 @@ func (s *Service) recover() error {
 // no buffered events and the Stats identity (ingested == sequenced +
 // late_dropped + buffered) holds from the first scrape.
 func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
-	rules, err := persist.DecodeRules(snap.Rules)
-	if err != nil {
+	var err error
+	if s.recovery.IncrRestored, err = s.loop.Restore(snap); err != nil {
 		return fmt.Errorf("stream: snapshot rules: %w", err)
 	}
-	s.repo.Restore(rules)
-	if snap.Predictor != nil {
-		pr := predictor.New(rules, s.cfg.Params)
-		pr.GlobalDedup = true
-		engine.ClampDedup(pr, s.cfg.Params.WindowSec)
-		pr.RestoreState(*snap.Predictor)
-		s.pr.Store(pr)
-		s.m.rules.Set(float64(len(rules)))
-		for i, v := range snap.Predictor.LastWarnMs {
-			s.lastWarn[i].Store(v)
-		}
-	}
-	s.lastFatal.Store(snap.LastFatalMs)
 
 	s.tempMirror.Restore(snap.Temporal)
 	s.tempSeed = snap.Temporal // shards re-split this on startup
@@ -164,18 +152,7 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 		}
 	}
 
-	if s.incrState != nil && len(snap.Incr) > 0 {
-		// Best effort: a version or configuration mismatch just means the
-		// next retrain falls back to a full rebuild (the same thing a
-		// snapshot without incremental state means).
-		if err := s.incrState.Restore(snap.Incr); err == nil {
-			s.recovery.IncrRestored = true
-		}
-	}
-
-	s.m.streamStart.Set(float64(snap.StreamStartMs))
 	s.m.watermark.Set(float64(snap.WatermarkMs))
-	s.m.nextRetrain.Set(float64(snap.NextRetrainMs))
 	c := snap.Counters
 	s.m.ingested.Add(c.Sequenced + c.LateDropped)
 	s.m.sequenced.Add(c.Sequenced)
@@ -190,24 +167,19 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 	return nil
 }
 
-// replayOne runs one WAL event through the collector's stage logic. The
-// temporal mirror is the decider here (during live operation it only
+// replayOne runs one WAL event through the shard and collector logic.
+// The temporal mirror is the decider here (during live operation it only
 // records the shards' decisions — same state machine, same outcome).
 func (s *Service) replayOne(e raslog.Event) {
-	s.next++
 	s.m.ingested.Inc()
 	s.m.sequenced.Inc()
-	s.advance(e.Time)
+	o := shardOut{te: preprocess.TaggedEvent{Event: e}}
 	if s.tempMirror.Observe(e) {
 		s.m.afterTemporal.Inc()
-		s.afterTemp++
 		class, fatal := s.zer.Categorize(e)
-		te := preprocess.TaggedEvent{Event: e, Class: class, Fatal: fatal}
-		if s.spatial.Observe(e) {
-			s.process(te)
-		}
+		o.te.Class, o.te.Fatal, o.kept = class, fatal, true
 	}
-	s.maybeRetrain()
+	s.collect(o)
 }
 
 // buildSnapshot captures the service state at the collector's current
@@ -215,15 +187,9 @@ func (s *Service) replayOne(e raslog.Event) {
 // shutdown, when no goroutines run): Sequenced is pinned to the cut, not
 // to the live sequencer counter, which may already be ahead.
 func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
-	rules, err := persist.EncodeRules(s.repo.Rules())
-	if err != nil {
-		return nil, err
-	}
 	snap := &persist.Snapshot{
-		Seq:           s.next,
-		StreamStartMs: s.streamStartMs(),
-		WatermarkMs:   s.watermarkMs(),
-		LastFatalMs:   s.lastFatal.Load(),
+		Seq:         s.next,
+		WatermarkMs: s.watermarkMs(),
 		Counters: persist.Counters{
 			Sequenced: int64(s.next),
 			// Late/overflow are sequencer-side; a momentary skew against
@@ -235,16 +201,13 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 			Fatals:        s.m.fatals.Value(),
 			Warnings:      s.m.warningsTotal.Value(),
 		},
-		Rules:    rules,
 		Temporal: s.tempMirror.Export(),
 		Spatial:  s.spatial.Export(),
 	}
-	if pr := s.pr.Load(); pr != nil {
-		st := pr.ExportState()
-		snap.Predictor = &st
+	if err := s.loop.Export(snap); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
-	snap.NextRetrainMs = s.nextRetrainMs()
 	snap.History = append([]preprocess.TaggedEvent(nil), s.history...)
 	recs := append([]RetrainRecord(nil), s.retrains...)
 	s.mu.Unlock()
@@ -257,17 +220,6 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 			return nil, err
 		}
 		snap.Retrains = raw
-	}
-	if s.incrState != nil {
-		// Export is safe against an in-flight background retrain (the
-		// state locks itself); whichever side of the Advance it captures
-		// is consistent with some retrain boundary, and the next Advance
-		// continues from there.
-		raw, err := s.incrState.Export()
-		if err != nil {
-			return nil, err
-		}
-		snap.Incr = raw
 	}
 	return snap, nil
 }

@@ -12,7 +12,8 @@ import (
 	"time"
 
 	"repro/internal/learner"
-	"repro/internal/meta"
+	"repro/internal/persist"
+	"repro/internal/predictor"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
@@ -267,26 +268,32 @@ func TestPersistenceDoesNotPerturbPipeline(t *testing.T) {
 // could double-warn — once before the swap and once right after, inside
 // the dedup interval.
 func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
-	cfg := Defaults()
-	full, err := cfg.withDefaults()
+	s, err := New(Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Service{cfg: full, repo: meta.NewRepository()}
-	s.lastFatal.Store(-1)
-	for i := range s.lastWarn {
-		s.lastWarn[i].Store(-1)
-	}
-	s.m = newMetrics(s)
+	defer s.Close()
 
 	// One distribution rule: more than 60 s since the last fatal warns.
-	s.repo.Restore([]learner.Rule{{Kind: learner.Distribution, ElapsedSec: 60, Confidence: 0.9}})
+	// The predictor swapped in carries a fatal its predecessor observed.
+	rules := []learner.Rule{{Kind: learner.Distribution, ElapsedSec: 60, Confidence: 0.9}}
 	const fatalAt = int64(1_000_000_000_000)
-	s.lastFatal.Store(fatalAt)
-	s.swapPredictor()
+	wire, err := persist.EncodeRules(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.loop.Restore(&persist.Snapshot{
+		Rules:         wire,
+		Predictor:     &predictor.State{LastFatalMs: fatalAt, LastWarnMs: [3]int64{-1, -1, -1}},
+		LastFatalMs:   fatalAt,
+		StreamStartMs: fatalAt,
+		NextRetrainMs: -1,
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	// 70 s after the fatal: the live predictor warns, through the normal
-	// process path (which is what maintains the service's dedup mirror).
+	// process path (which is what maintains the loop's dedup mirror).
 	warnAt := fatalAt + 70_000
 	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt}, Class: 1})
 	if got := s.m.warningsTotal.Value(); got != 1 {
@@ -297,7 +304,7 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	// in. Ten seconds later — well inside the dedup interval (W_P = 300 s)
 	// and still past the elapsed threshold — the old predictor would have
 	// stayed silent; the swapped-in one must too.
-	s.swapPredictor()
+	s.loop.Install(rules)
 	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt + 10_000}, Class: 1})
 	if got := s.m.warningsTotal.Value(); got != 1 {
 		t.Fatalf("swapped-in predictor re-warned (total %d) off the pre-swap fatal; dedup state was lost across the swap", got)

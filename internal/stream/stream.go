@@ -38,13 +38,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/learner"
-	"repro/internal/learner/incr"
 	"repro/internal/meta"
 	"repro/internal/persist"
 	"repro/internal/predictor"
@@ -165,21 +165,13 @@ type Config struct {
 	// SyncRetrain runs (re)training inline on the collector goroutine
 	// instead of in the background. Ingestion stalls for the duration of
 	// a pass, but the predictor swap then lands at a deterministic stream
-	// position — which is what makes a crashed-and-recovered run
-	// byte-identical to an uninterrupted one (WAL replay always trains
-	// inline, so only a service that also *ran* synchronously can be
-	// reproduced exactly; an async service recovers to an equivalent
-	// state whose swap points may differ by a few events).
+	// position, where engine.Run swaps — which is what makes a run match
+	// the offline engine, and a crashed-and-recovered run byte-identical
+	// to an uninterrupted one (WAL replay always trains inline, so only a
+	// service that also *ran* synchronously can be reproduced exactly; an
+	// async service recovers to an equivalent state whose swap points may
+	// differ by a few events).
 	SyncRetrain bool
-	// NoIncremental disables incremental sufficient-statistics maintenance
-	// across retrains (internal/learner/incr) and restores the batch-only
-	// training path. Incremental maintenance is on by default: each retrain
-	// delta-applies the events that entered/expired from the training
-	// window and falls back to a full rebuild on parameter changes,
-	// backwards window moves, or a drift-audit mismatch, so the learned
-	// rules are identical either way. The switch exists for measurement
-	// and equivalence testing.
-	NoIncremental bool
 }
 
 // Defaults returns the paper's parameters: 300 s filter threshold,
@@ -197,26 +189,8 @@ func Defaults() Config {
 	}
 }
 
-func (c *Config) withDefaults() (Config, error) {
+func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Params.WindowSec <= 0 {
-		return out, fmt.Errorf("stream: WindowSec = %d, need > 0", out.Params.WindowSec)
-	}
-	if out.InitialTrain <= 0 {
-		return out, errors.New("stream: InitialTrain must be > 0")
-	}
-	if out.Policy == engine.Sliding && out.TrainWindow <= 0 {
-		return out, errors.New("stream: sliding policy needs TrainWindow > 0")
-	}
-	if out.Policy != engine.Static && out.RetrainEvery <= 0 {
-		return out, errors.New("stream: dynamic policy needs RetrainEvery > 0")
-	}
-	if out.Meta == nil {
-		out.Meta = meta.New()
-	}
-	if out.Parallelism != 0 {
-		out.Meta.SetParallelism(out.Parallelism)
-	}
 	if out.Shards <= 0 {
 		out.Shards = 4
 	}
@@ -235,7 +209,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.AdmitWait <= 0 {
 		out.AdmitWait = 30 * time.Second
 	}
-	return out, nil
+	return out
 }
 
 // seqEvent travels sequencer → shard.
@@ -266,24 +240,13 @@ type RetrainRecord struct {
 // Ingest (safe for concurrent use), read Warnings/Stats at any time, and
 // Close to drain.
 type Service struct {
-	cfg  Config
-	repo *meta.Repository
-	zer  *preprocess.Categorizer
-	// setCache carries Apriori event sets across the overlapping training
-	// snapshots of successive retrainings (see learner.EventSetCache).
-	setCache *learner.EventSetCache
-	// incrState maintains the windowed sufficient statistics that turn a
-	// retrain into a delta-apply (nil when Config.NoIncremental). Retrains
-	// are serialized by the retraining flag, so Advance/Install never race;
-	// snapshot Export runs under the state's own lock.
-	incrState *incr.State
-
-	pr        atomic.Pointer[predictor.Predictor]
-	lastFatal atomic.Int64
-	// lastWarn mirrors the live predictor's per-family dedup marks (every
-	// emitted warning passes through process), so a swapped-in predictor
-	// can be seeded without touching the old one across goroutines.
-	lastWarn [3]atomic.Int64
+	cfg Config
+	zer *preprocess.Categorizer
+	// loop is the dynamic loop shared with the offline engine: schedule,
+	// incremental training pass, predictor builder and swap. The service
+	// only decides where a pass runs (inline, background, or behind the
+	// RetrainLimiter); the retraining flag keeps passes from overlapping.
+	loop *engine.Loop
 
 	seqCh     chan ingestMsg
 	shardChs  []chan seqEvent
@@ -330,8 +293,6 @@ type Service struct {
 
 	// m holds every counter, gauge and histogram (see metrics.go).
 	// Stats() and GET /metrics are two views over these instruments.
-	// The next-retrain gauge is special: its transitions are compound
-	// (read-check-advance) and therefore guarded by mu.
 	m *metrics
 
 	mu       sync.Mutex
@@ -347,50 +308,44 @@ type Service struct {
 	warnings []predictor.Warning // ring of the last WarningsKeep
 }
 
-// Stream-time accessors over the metric gauges (ms). streamStart is -1
-// until the first event; nextRetrain is -1 when no training will ever be
-// due again.
-func (s *Service) streamStartMs() int64 { return int64(s.m.streamStart.Value()) }
-func (s *Service) watermarkMs() int64   { return int64(s.m.watermark.Value()) }
-func (s *Service) nextRetrainMs() int64 { return int64(s.m.nextRetrain.Value()) }
+// watermarkMs is the stream time (ms) of the newest collected event.
+func (s *Service) watermarkMs() int64 { return int64(s.m.watermark.Value()) }
 
 // New validates cfg, starts the pipeline goroutines, and returns the
 // running service. With Config.Standby the goroutines are deferred until
 // Promote: the service recovers its durable state and then waits to be
 // fed by a Follower.
 func New(cfg Config) (*Service, error) {
-	full, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	full := cfg.withDefaults()
 	if full.Standby && full.StateDir == "" {
 		return nil, errors.New("stream: Standby requires StateDir")
 	}
 	s := &Service{
 		cfg:       full,
-		repo:      meta.NewRepository(),
 		zer:       preprocess.NewCategorizer(preprocess.NewCatalog()),
-		setCache:  learner.NewEventSetCache(),
 		spatial:   preprocess.NewSpatialStage(full.Filter),
 		seqCh:     make(chan ingestMsg, full.QueueLen),
 		shardChs:  make([]chan seqEvent, full.Shards),
 		collectCh: make(chan shardOut, full.QueueLen),
 		done:      make(chan struct{}),
 	}
-	s.lastFatal.Store(-1)
-	for i := range s.lastWarn {
-		s.lastWarn[i].Store(-1)
-	}
 	s.seqTimeSeed = -1 << 62
 	for i := range s.shardChs {
 		s.shardChs[i] = make(chan seqEvent, full.QueueLen)
 	}
 	s.m = newMetrics(s) // after the channels: queue gauges read them
-	if !full.NoIncremental {
-		// Before recover(): a persisted snapshot may carry incremental
-		// state to restore, sparing the first post-recovery retrain a
-		// cold rebuild.
-		s.incrState = incr.New(meta.IncrConfig(full.Meta, full.Params))
+	var err error
+	if s.loop, err = engine.NewLoop(engine.LoopConfig{
+		Policy:      full.Policy,
+		Initial:     full.InitialTrain.Milliseconds(),
+		Window:      full.TrainWindow.Milliseconds(),
+		Every:       full.RetrainEvery.Milliseconds(),
+		Params:      full.Params,
+		Meta:        full.Meta,
+		Parallelism: full.Parallelism,
+		Metrics:     s.m.training,
+	}); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 
 	if full.StateDir != "" {
@@ -882,41 +837,40 @@ func (s *Service) collector() {
 			if !ok {
 				break
 			}
-			s.next++
 			t0 := time.Now()
-			s.advance(o.te.Time)
 			if s.tempMirror != nil {
 				// Track the shards' temporal decisions so a snapshot can carry
 				// one consistent global filter state (see preprocess.Record).
 				s.tempMirror.Record(o.te.Event, o.kept)
 			}
-			if o.kept {
-				s.afterTemp++
-			}
-			if o.kept && s.spatial.Observe(o.te.Event) {
-				s.process(o.te)
-			}
-			s.maybeRetrain()
-			if s.store != nil && s.snapPending.CompareAndSwap(true, false) {
-				// A training pass completed (inline or in the background):
-				// snapshot on the collector, where the cut at s.next is exact.
-				s.writeSnapshot()
-			}
+			s.collect(o)
 			s.m.collectLatency.Since(t0)
 		}
 	}
 }
 
-// advance moves the stream clock.
-func (s *Service) advance(t int64) {
-	if s.streamStartMs() < 0 {
-		s.m.streamStart.Set(float64(t))
-		s.mu.Lock()
-		s.m.nextRetrain.Set(float64(t + s.cfg.InitialTrain.Milliseconds()))
-		s.mu.Unlock()
+// collect is the per-event body of the collector and of WAL replay: the
+// dynamic loop's step. The stream clock advances and any pass it makes
+// due runs (or is dispatched) first, so new rules are live before the
+// first event at or after their boundary is observed; then the spatial
+// filter and the predictor see the event.
+func (s *Service) collect(o shardOut) {
+	s.next++
+	s.loop.Begin(o.te.Time)
+	if o.te.Time > s.watermarkMs() {
+		s.m.watermark.Set(float64(o.te.Time))
 	}
-	if t > s.watermarkMs() {
-		s.m.watermark.Set(float64(t))
+	s.maybeRetrain()
+	if o.kept {
+		s.afterTemp++
+	}
+	if o.kept && s.spatial.Observe(o.te.Event) {
+		s.process(o.te)
+	}
+	if s.store != nil && !s.replaying && s.snapPending.CompareAndSwap(true, false) {
+		// A training pass completed (inline or in the background):
+		// snapshot on the collector, where the cut at s.next is exact.
+		s.writeSnapshot()
 	}
 }
 
@@ -925,20 +879,9 @@ func (s *Service) advance(t int64) {
 // is loaded once per event and never locked.
 func (s *Service) process(te preprocess.TaggedEvent) {
 	s.m.processed.Inc()
-	var warns []predictor.Warning
-	if pr := s.pr.Load(); pr != nil {
-		warns = pr.Observe(te)
-	}
+	warns := s.loop.Observe(te)
 	if te.Fatal {
 		s.m.fatals.Inc()
-		s.lastFatal.Store(te.Time)
-	}
-
-	for _, w := range warns {
-		// Keep the dedup mirror current (see the lastWarn field comment).
-		if i := int(w.Source); i >= 0 && i < len(s.lastWarn) && w.Time > s.lastWarn[i].Load() {
-			s.lastWarn[i].Store(w.Time)
-		}
 	}
 
 	s.mu.Lock()
@@ -969,7 +912,7 @@ func (s *Service) trimHistoryLocked() {
 		if len(s.history)%1024 != 0 {
 			return
 		}
-		cutoff := s.nextRetrainMs() - s.cfg.TrainWindow.Milliseconds()
+		cutoff := s.loop.Next() - s.cfg.TrainWindow.Milliseconds()
 		i := 0
 		for i < len(s.history) && s.history[i].Time < cutoff {
 			i++
@@ -980,104 +923,76 @@ func (s *Service) trimHistoryLocked() {
 	}
 }
 
-// maybeRetrain starts a background training pass when the stream clock
-// crosses the next boundary and none is in flight.
+// maybeRetrain claims every training pass the stream clock has made due
+// and decides where it runs: inline on the caller (SyncRetrain, WAL
+// replay), or in the background — behind the fleet's RetrainLimiter when
+// one is set — with at most one pass in flight.
 func (s *Service) maybeRetrain() {
-	wm := s.watermarkMs()
-	s.mu.Lock()
-	at := s.nextRetrainMs()
-	due := at > 0 && wm >= at
-	s.mu.Unlock()
-	if !due || !s.retraining.CompareAndSwap(false, true) {
+	// Due first: the retraining flag (stream_retraining) must not flicker
+	// on every event.
+	for s.loop.Due(s.watermarkMs()) && s.retraining.CompareAndSwap(false, true) {
+		p, ok := s.loop.Claim(s.watermarkMs())
+		if !ok {
+			s.retraining.Store(false)
+			return
+		}
+		snapshot := s.snapshotTrainingSet(p)
+		if s.cfg.SyncRetrain || s.replaying {
+			// Inline on the caller (the collector, or recovery's replay loop):
+			// the swap lands at a deterministic stream position. WAL replay must
+			// train inline regardless of configuration — the events that would
+			// have fed a background pass are being replayed synchronously.
+			s.retrain(p, snapshot)
+			continue
+		}
+		s.retrainWG.Add(1)
+		go func() {
+			defer s.retrainWG.Done()
+			if lim := s.cfg.RetrainLimiter; lim != nil {
+				// Fleet mode: wait for a fleet-wide training slot off the hot
+				// path. Ingestion and prediction continue on the old rules while
+				// the pass queues; s.retraining stays set, so this service cannot
+				// stack up a second pending pass behind the first.
+				lim.acquire()
+				defer lim.release()
+			}
+			s.retrain(p, snapshot)
+			// The stream may have crossed the next boundary while we trained
+			// (or gone idle right after); catch up instead of waiting for the
+			// next processed event. WG ordering is safe: this Add (if any)
+			// happens before our own deferred Done.
+			s.maybeRetrain()
+		}()
 		return
 	}
-	snapshot, from := s.snapshotTrainingSet(at)
-	s.mu.Lock()
-	if s.cfg.Policy == engine.Static {
-		s.m.nextRetrain.Set(-1) // never again
-	} else {
-		s.m.nextRetrain.Set(float64(at + s.cfg.RetrainEvery.Milliseconds()))
-	}
-	s.mu.Unlock()
-	s.retrainWG.Add(1)
-	if s.cfg.SyncRetrain || s.replaying {
-		// Inline on the caller (the collector, or recovery's replay loop):
-		// the swap lands at a deterministic stream position. WAL replay must
-		// train inline regardless of configuration — the events that would
-		// have fed a background pass are being replayed synchronously.
-		s.retrain(at, from, snapshot)
-	} else if lim := s.cfg.RetrainLimiter; lim != nil {
-		// Fleet mode: wait for a fleet-wide training slot off the hot
-		// path. Ingestion and prediction continue on the old rules while
-		// the pass queues; s.retraining stays set, so this service cannot
-		// stack up a second pending pass behind the first.
-		go func() {
-			lim.acquire()
-			defer lim.release()
-			s.retrain(at, from, snapshot)
-		}()
-	} else {
-		go s.retrain(at, from, snapshot)
-	}
 }
 
-// snapshotTrainingSet copies the policy's training slice ending at the
-// stream-time boundary `at` (ms), returning the slice and its window
-// start (the event-set cache needs both bounds).
-func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64) {
-	var from int64 = -1 << 62
-	if s.cfg.Policy == engine.Sliding {
-		from = at - s.cfg.TrainWindow.Milliseconds()
-	}
+// snapshotTrainingSet copies the pass's training slice [p.From, p.At)
+// out of the (time-sorted) history.
+func (s *Service) snapshotTrainingSet(p engine.Pass) []preprocess.TaggedEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]preprocess.TaggedEvent, 0, len(s.history))
-	for _, te := range s.history {
-		if te.Time >= from && te.Time < at {
-			out = append(out, te)
-		}
-	}
-	return out, from
+	h := s.history
+	lo := sort.Search(len(h), func(i int) bool { return h[i].Time >= p.From })
+	hi := sort.Search(len(h), func(i int) bool { return h[i].Time >= p.At })
+	return append([]preprocess.TaggedEvent(nil), h[lo:hi]...)
 }
 
-// retrain runs one training pass off the hot path and atomically swaps
-// the refreshed predictor in. On error the previous rule set stays live.
-// With incremental maintenance on (the default), the pass first advances
-// the sufficient-statistics window by the events that entered/expired
-// since the last retrain and the learners then read the maintained
-// counters instead of re-mining the snapshot; otherwise event sets are
-// reused across retrainings via setCache. Either way the snapshot slices
-// differ call to call, but the stream content over any shared [time)
-// range is identical, which is all the maintained state depends on.
-func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) RetrainRecord {
-	defer s.retrainWG.Done()
-	rec := RetrainRecord{At: at}
-	pre := learner.Prepare(snapshot)
-	var incrInfo *engine.IncrInfo
-	if s.incrState != nil {
-		ta := time.Now()
-		d := s.incrState.Advance(snapshot, from, at, s.cfg.Params)
-		s.incrState.Install(pre)
-		incrInfo = &engine.IncrInfo{Applied: d.Applied, Expired: d.Expired,
-			Rebuild: d.Rebuild, Reason: d.Reason, AdvanceDuration: time.Since(ta)}
-	} else {
-		pre.SetsFor = func(windowMs int64, maxItems int) []learner.EventSet {
-			return s.setCache.Sets(snapshot, from, at, windowMs, maxItems)
-		}
-	}
-	rt, err := engine.TrainStepPrepared(s.cfg.Meta, s.repo, pre, s.cfg.Params)
-	rt.Incr = incrInfo
+// retrain runs one claimed pass through the loop, which swaps the
+// refreshed predictor in atomically, and records it. On error the
+// previous rule set stays live.
+func (s *Service) retrain(p engine.Pass, snapshot []preprocess.TaggedEvent) RetrainRecord {
+	rec := RetrainRecord{At: p.At}
+	rt, err := s.loop.Train(p, snapshot)
 	if err != nil {
 		rec.Err = err.Error()
-		s.m.training.RecordError()
 	} else {
 		rec.Retraining = rt
-		s.swapPredictor()
-		s.m.training.Record(rt)
-		if s.store != nil && !s.replaying {
-			// Ask the collector to snapshot at its next release point; during
-			// replay the WAL files are being read, so snapshotting (which
-			// truncates them) waits until recovery finishes.
+		if s.store != nil {
+			// Ask for a snapshot at the next consistent cut: the collector's
+			// next release point, or the end of a replicated batch. Recovery
+			// replay snapshots once at its end instead — the WAL files being
+			// read must not be pruned under the iterator.
 			s.snapPending.Store(true)
 		}
 	}
@@ -1088,35 +1003,7 @@ func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) Ret
 	}
 	s.mu.Unlock()
 	s.retraining.Store(false)
-	// The stream may have crossed the next boundary while we trained (or
-	// gone idle right after); catch up instead of waiting for the next
-	// processed event. WG ordering is safe: this Add (if any) happens
-	// before our own Done.
-	s.maybeRetrain()
 	return rec
-}
-
-// swapPredictor builds a predictor over the repository's current rules
-// and publishes it copy-on-write; the observe path picks it up on its
-// next Load with no synchronization beyond the atomic pointer.
-func (s *Service) swapPredictor() {
-	rules := s.repo.Rules()
-	pr := predictor.New(rules, s.cfg.Params)
-	pr.GlobalDedup = true
-	// Alarm spacing stays at the base rule-generation window even when
-	// the service runs a wider prediction window, matching the offline
-	// engine's counting exactly.
-	engine.ClampDedup(pr, s.cfg.Params.WindowSec)
-	if lf := s.lastFatal.Load(); lf >= 0 {
-		pr.SeedLastFatal(lf)
-	}
-	// Seed the dedup marks from the service-level mirror, not from the old
-	// predictor (which the collector may be mutating concurrently). Without
-	// this, seeding lastFatal alone re-arms the distribution expert and it
-	// re-warns off the pre-swap fatal — TestSwapPredictorKeepsWarnSpacing.
-	pr.SeedLastWarn([3]int64{s.lastWarn[0].Load(), s.lastWarn[1].Load(), s.lastWarn[2].Load()})
-	s.pr.Store(pr)
-	s.m.rules.Set(float64(len(rules)))
 }
 
 // ErrNoEvents is returned by TrainNow before the first event has reached
@@ -1134,37 +1021,23 @@ func (s *Service) TrainNow() (RetrainRecord, error) {
 	if s.standby.Load() {
 		return RetrainRecord{}, ErrStandby
 	}
-	if s.streamStartMs() < 0 {
+	if s.loop.Start() < 0 {
 		return RetrainRecord{}, ErrNoEvents
 	}
 	if !s.retraining.CompareAndSwap(false, true) {
 		return RetrainRecord{}, errors.New("stream: retraining already in flight")
 	}
-	at := s.watermarkMs() + 1
-	// Claim the schedule before training, exactly like maybeRetrain:
-	// retrain's trailing catch-up must not see a stale boundary and
-	// immediately re-fire the scheduled pass on the data we just used.
-	s.mu.Lock()
-	prev := s.nextRetrainMs()
-	next := prev
-	if s.cfg.Policy == engine.Static {
-		next = -1 // a static service trains once; this was it
-	} else if t := at + s.cfg.RetrainEvery.Milliseconds(); t > next {
-		next = t
-	}
-	s.m.nextRetrain.Set(float64(next))
-	s.mu.Unlock()
-	snapshot, from := s.snapshotTrainingSet(at)
+	// Claim the schedule before training, exactly like maybeRetrain: the
+	// catch-up below must not see a stale boundary and immediately re-fire
+	// the scheduled pass on the data we just used. A failed pass hands
+	// the schedule back.
+	p := s.loop.ClaimAt(s.watermarkMs() + 1)
+	snapshot := s.snapshotTrainingSet(p)
 	s.retrainWG.Add(1)
-	rec := s.retrain(at, from, snapshot)
+	rec := s.retrain(p, snapshot)
+	s.maybeRetrain()
+	s.retrainWG.Done()
 	if rec.Err != "" {
-		// The pass failed: hand the schedule back (unless a concurrent
-		// scheduled pass moved it in the meantime).
-		s.mu.Lock()
-		if s.nextRetrainMs() == next {
-			s.m.nextRetrain.Set(float64(prev))
-		}
-		s.mu.Unlock()
 		return rec, errors.New(rec.Err)
 	}
 	return rec, nil
@@ -1190,7 +1063,7 @@ func (s *Service) Warnings(n int) []predictor.Warning {
 
 // Rules returns the live predictor's rule set (nil before first training).
 func (s *Service) Rules() []learner.Rule {
-	pr := s.pr.Load()
+	pr := s.loop.Predictor()
 	if pr == nil {
 		return nil
 	}
@@ -1279,9 +1152,9 @@ func (s *Service) Stats() Stats {
 		Processed:       s.m.processed.Value(),
 		Fatals:          s.m.fatals.Value(),
 		WarningsTotal:   s.m.warningsTotal.Value(),
-		Rules:           int64(s.m.rules.Value()),
+		Rules:           int64(len(s.Rules())),
 		Retraining:      s.retraining.Load(),
-		StreamStart:     s.streamStartMs(),
+		StreamStart:     s.loop.Start(),
 		Watermark:       s.watermarkMs(),
 		Queues: QueueDepths{
 			Sequencer: len(s.seqCh),
@@ -1296,8 +1169,8 @@ func (s *Service) Stats() Stats {
 	if st.Sequenced > 0 {
 		st.CompressionRate = 1 - float64(st.Processed)/float64(st.Sequenced)
 	}
+	st.NextRetrain = s.loop.Next()
 	s.mu.Lock()
-	st.NextRetrain = s.nextRetrainMs()
 	st.Retrains = append([]RetrainRecord(nil), s.retrains...)
 	s.mu.Unlock()
 	if s.store != nil {

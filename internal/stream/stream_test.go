@@ -329,7 +329,7 @@ func TestSwapPredictorClampsAlarmSpacing(t *testing.T) {
 		if _, err := s.TrainNow(); err != nil {
 			t.Fatal(err)
 		}
-		pr := s.pr.Load()
+		pr := s.loop.Predictor()
 		if pr == nil {
 			t.Fatal("no predictor installed after TrainNow")
 		}

@@ -185,22 +185,17 @@ type TrainStats struct {
 	Repo       int
 }
 
-// Train (re)learns rules from a training stream and swaps them into the
-// live predictor; accumulated runtime state (the elapsed-failure clock)
-// carries over.
+// Train (re)learns rules from a training stream (a batch pass: the
+// histories need not overlap) and swaps them into the live predictor
+// through the dynamic loop's builder, carrying over the elapsed-failure
+// clock and the warning-dedup marks.
 func (o *Online) Train(history []TaggedEvent) (TrainStats, error) {
 	report, err := o.ml.Train(history, o.params)
 	if err != nil {
 		return TrainStats{}, err
 	}
 	o.repo.Update(report)
-	var lastFatal int64 = -1
-	if o.pr != nil {
-		lastFatal = o.pr.LastFatal()
-	}
-	o.pr = predictor.New(o.repo.Rules(), o.params)
-	o.pr.GlobalDedup = true
-	o.pr.SeedLastFatal(lastFatal)
+	o.pr = engine.NewPredictor(o.repo.Rules(), o.params, nil, o.pr)
 	return TrainStats{
 		Candidates: len(report.Candidates),
 		Kept:       len(report.Kept),

@@ -137,25 +137,31 @@ func TestOnlineRetrainCarriesClock(t *testing.T) {
 	if _, err := o.Train(events[:half]); err != nil {
 		t.Fatal(err)
 	}
-	// Observe some events so the elapsed clock is armed.
-	for _, e := range events[half : half+50] {
-		o.Observe(e)
+	if len(o.Rules()) == 0 {
+		t.Fatal("no rules after training")
 	}
-	before := 0
-	for _, r := range o.Rules() {
-		_ = r
-		before++
+	// Whenever a warning is followed by an event inside the 300 s dedup
+	// interval, retrain right between the two: the swapped-in predictor
+	// must remember the warning and stay silent, as the old one would.
+	const dedupMs = 300_000
+	checked := 0
+	for i := half; i+1 < len(events) && checked < 5; i++ {
+		warns := o.Observe(events[i])
+		if len(warns) == 0 || events[i+1].Time-warns[0].Time >= dedupMs {
+			continue
+		}
+		if _, err := o.Train(events[:half]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+		if again := o.Observe(events[i]); len(again) > 0 {
+			t.Fatalf("re-warned %d ms after a warning, right after Train: %+v",
+				again[0].Time-warns[0].Time, again[0])
+		}
+		checked++
 	}
-	if _, err := o.Train(events[:half]); err != nil { // retrain
-		t.Fatal(err)
-	}
-	if before == 0 {
-		t.Fatal("no rules before retrain")
-	}
-	// The retrained predictor must still be armed (no panic, and the
-	// stream continues to be accepted).
-	for _, e := range events[half+50 : half+100] {
-		o.Observe(e)
+	if checked == 0 {
+		t.Fatal("no warning followed by an event inside the dedup interval")
 	}
 }
 

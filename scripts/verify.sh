@@ -43,7 +43,33 @@ echo "== incremental-retraining equivalence gate (-race -count=1)"
 # equivalence runs — all under the race detector, never from the test
 # cache. Build with -tags slow for the long campaign.
 go test -race -count=1 ./internal/learner ./internal/learner/incr
-go test -race -count=1 -run 'Incremental' ./internal/engine ./internal/stream
+# ServiceMatchesEngine: the live service and engine.Run drive one dynamic
+# loop (engine.Loop) — identical warnings and retrainings on the same
+# trace, across policies, schedule shapes and a crash/restart.
+go test -race -count=1 -run 'Incremental|ServiceMatchesEngine' ./internal/engine ./internal/stream
+echo "== results guard (regenerate results/, compare)"
+# The committed figures are the guard that a refactor changed nothing:
+# regenerate the full suite and require every results/*.csv and *.txt
+# to match byte for byte, except Table 5's wall-clock duration columns
+# (in table5.* and its section of all.txt), where only the training-size
+# label and the train-event count are compared.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/experiments -out "$tmp" >/dev/null
+undurate() {
+    awk '/^[0-9]+ mo[ ,]/ { n = split($0, f, /[ ,]+/); print f[1], f[2], f[n]; next } { print }' "$1"
+}
+for want in results/*.csv results/*.txt; do
+    got="$tmp/$(basename "$want")"
+    case "$want" in
+    results/table5.*|results/all.txt)
+        undurate "$want" > "$tmp/want.masked"
+        undurate "$got" > "$tmp/got.masked"
+        cmp "$tmp/want.masked" "$tmp/got.masked" ;;
+    *)
+        cmp "$want" "$got" ;;
+    esac || { echo "FAIL: regenerated $want differs"; exit 1; }
+done
 echo "== overload-path gate (-race -count=1)"
 # The saturation pins re-proven fresh every run: bounded-time 429s with
 # no admitted event dropped or reordered (stream), warnings served off
